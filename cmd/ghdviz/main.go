@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -34,10 +35,11 @@ func main() {
 
 	show := func(label string, opts core.Options) {
 		eng := core.New(st, opts)
-		p, err := eng.Plan(q)
+		compiled, err := eng.Plan(q)
 		if err != nil {
 			log.Fatalf("ghdviz: plan: %v", err)
 		}
+		p := compiled.(*plan.Plan)
 		fmt.Printf("--- %s ---\n", label)
 		if p.Decomposition != nil {
 			fmt.Print(p.Decomposition)

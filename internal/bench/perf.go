@@ -240,10 +240,10 @@ func tableIIQueries(st *store.Store, cfg Config) ([]PerfResult, error) {
 
 // shardedPair measures the scatter-gather engine against its unsharded
 // twin on the two canonical shapes (subject-star q2, path q8), at 4 and 8
-// shards. The repetition protocol matches the statistics-pruned planner's
-// serving-path behaviour: the warmup run compiles and caches the scatter
-// plan (and the join path's memoized build tables), so the timed reps
-// measure the repeated-query hot path, exactly what the server pays.
+// shards. The repetition protocol matches the serving path's behaviour:
+// MeasureVar compiles the scatter plan once and the warmup run fills the
+// join path's memoized build tables, so the timed reps measure the
+// repeated-query hot path a plan-cache hit pays.
 func shardedPair(st *store.Store, cfg Config) ([]PerfResult, error) {
 	eng, err := engines.New("emptyheaded", st)
 	if err != nil {

@@ -98,19 +98,10 @@ type Coordinator struct {
 
 	met clusterMetrics
 
-	// texts renders sub-queries to wire text once per interned plan pointer.
-	textMu sync.Mutex
-	texts  map[*query.BGP]string
-
 	stopProbes chan struct{}
 	probesDone chan struct{}
 	started    atomic.Bool
 }
-
-// textCacheCap bounds the rendered sub-query cache; one arbitrary entry is
-// evicted when full (the cache is keyed by interned plan pointers, so in
-// steady state it tracks the scatter-plan cache).
-const textCacheCap = 1 << 12
 
 // worker is one remote rdfserved process and its health state.
 type worker struct {
@@ -205,7 +196,6 @@ func New(cfg Config) (*Coordinator, error) {
 		now:        now,
 		rand:       rnd,
 		firstRow:   obs.NewHist(obs.LatencyBuckets()),
-		texts:      map[*query.BGP]string{},
 		stopProbes: make(chan struct{}),
 		probesDone: make(chan struct{}),
 	}
@@ -264,25 +254,6 @@ func (c *Coordinator) candidates(sh int) []*worker {
 	return out
 }
 
-// subText renders (and memoizes) sub's wire text. Sub-query pointers are
-// interned by the scatter planner, so the render runs once per plan.
-func (c *Coordinator) subText(sub *query.BGP) string {
-	c.textMu.Lock()
-	defer c.textMu.Unlock()
-	if t, ok := c.texts[sub]; ok {
-		return t
-	}
-	t := sub.String()
-	if len(c.texts) >= textCacheCap {
-		for k := range c.texts {
-			delete(c.texts, k)
-			break
-		}
-	}
-	c.texts[sub] = t
-	return t
-}
-
 // Opener returns the shard.RemoteOpener that fans engineName's sub-queries
 // out to the fleet. Install it on a shard engine via SetRemote.
 func (c *Coordinator) Opener(engineName string) shard.RemoteOpener {
@@ -298,10 +269,10 @@ type opener struct {
 // Establishment is lazy (first Next), so the open itself never blocks on
 // the network and every failure flows through the cursor — exactly the
 // contract the merge layer's drains already handle.
-func (o *opener) OpenShard(ctx context.Context, sh int, sub *query.BGP, h shard.RemoteHints) (engine.Cursor, error) {
+func (o *opener) OpenShard(ctx context.Context, sh int, sub *query.BGP, text string, h shard.RemoteHints) (engine.Cursor, error) {
 	return newRemoteDrain(ctx, o.c, drainReq{
 		shard:         sh,
-		text:          o.c.subText(sub),
+		text:          text,
 		vars:          append([]string(nil), sub.Select...),
 		engine:        o.engine,
 		owner:         h.Owner,

@@ -7,8 +7,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -47,19 +45,17 @@ var AllOptimizations = Options{
 var NoOptimizations = Options{}
 
 // Engine is an EmptyHeaded-style worst-case optimal engine bound to a
-// dataset.
+// dataset. It holds no per-query state: compiled plans are the caller's to
+// keep (see engine.Planner).
 type Engine struct {
 	st   *store.Store
 	opts Options
 	name string
-
-	mu    sync.Mutex
-	plans map[*query.BGP]*plan.Plan
 }
 
 // New returns an engine over st with the given optimization configuration.
 func New(st *store.Store, opts Options) *Engine {
-	return &Engine{st: st, opts: opts, name: "emptyheaded", plans: map[*query.BGP]*plan.Plan{}}
+	return &Engine{st: st, opts: opts, name: "emptyheaded"}
 }
 
 // WithName overrides the engine's reported name (used when benchmarking
@@ -87,48 +83,45 @@ func (e *Engine) Policy() set.Policy {
 	return set.PolicyUintOnly
 }
 
-// Plan compiles a query without executing it (used by the ghdviz tool and
-// the planner tests).
-func (e *Engine) Plan(q *query.BGP) (*plan.Plan, error) {
-	return plan.Compile(q, e.st, plan.Options{
+func (e *Engine) planOptions() plan.Options {
+	return plan.Options{
 		Layout:           e.Policy(),
 		AttributeReorder: e.opts.AttributeReorder,
 		GHDPushdown:      e.opts.GHDPushdown,
 		Pipelining:       e.opts.Pipelining,
-	})
+	}
 }
 
-// Open implements engine.Engine: compile to a GHD plan (cached per parsed
-// query, mirroring the paper's exclusion of EmptyHeaded's compilation time
-// from measurements) and stream the bottom-up worst-case optimal pass plus
-// the final enumeration through a cursor.
+// OptionsKey renders the plan-relevant options, so plan caches never share
+// a plan between differently configured engines.
+func (e *Engine) OptionsKey() string { return e.planOptions().Key() }
+
+// Plan implements engine.Planner: it compiles q to a GHD plan (a
+// *plan.Plan) without executing it.
+func (e *Engine) Plan(q *query.BGP) (engine.Plan, error) {
+	return plan.Compile(q, e.st, e.planOptions())
+}
+
+// Open implements engine.Engine: compile to a GHD plan and stream the
+// bottom-up worst-case optimal pass plus the final enumeration through a
+// cursor. Nothing is memoized; the paper's compile-excluded timings come
+// from callers that compile once (bench.MeasureVar, the live plan cache).
 func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
-	e.mu.Lock()
-	p, ok := e.plans[q]
-	e.mu.Unlock()
-	if !ok {
-		var err error
-		p, err = e.Plan(q)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.plans[q] = p
-		e.mu.Unlock()
+	p, err := e.Plan(q)
+	if err != nil {
+		return nil, err
 	}
 	return e.OpenPlan(p, opts)
 }
 
-// OpenPlan streams a plan previously compiled with Plan (or pulled from an
-// external plan cache, as the query server does). The plan must have been
-// compiled over this engine's store with its options. opts.Workers > 0
-// overrides the engine's configured parallelism for this execution.
-func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
+// OpenPlan implements engine.Planner. opts.Workers > 0 overrides the
+// engine's configured parallelism for this execution.
+func (e *Engine) OpenPlan(p engine.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
 	workers := e.opts.Workers
 	if opts.Workers > 0 {
 		workers = opts.Workers
 	}
-	return exec.Open(p, e.st, exec.Options{
+	return exec.Open(p.(*plan.Plan), e.st, exec.Options{
 		Policy:  e.Policy(),
 		Workers: workers,
 		Ctx:     opts.Ctx,
@@ -137,4 +130,4 @@ func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, er
 	})
 }
 
-var _ engine.Engine = (*Engine)(nil)
+var _ engine.Planner = (*Engine)(nil)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lubm"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/set"
 	"repro/internal/store"
@@ -86,10 +87,11 @@ func TestAllTogglesProduceSameResults(t *testing.T) {
 func TestPlanExposesDecomposition(t *testing.T) {
 	st := lubmStore(t)
 	e := core.New(st, core.AllOptimizations)
-	p, err := e.Plan(query.MustParseSPARQL(lubm.Query(2, 1)))
+	compiled, err := e.Plan(query.MustParseSPARQL(lubm.Query(2, 1)))
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
+	p := compiled.(*plan.Plan)
 	if p.Decomposition == nil {
 		t.Fatalf("plan has no decomposition")
 	}

@@ -93,6 +93,41 @@ type Engine interface {
 	Open(q *query.BGP, opts ExecOpts) (Cursor, error)
 }
 
+// Plan is an engine's compiled form of one query. It is immutable once
+// built, safe to share between concurrent executions, and valid only for
+// the engine instance that compiled it (plans read that engine's store
+// statistics).
+type Plan any
+
+// Planner is an engine that separates compilation from execution. Its
+// Open is Plan followed by OpenPlan with nothing memoized: engines keep no
+// per-query state, and callers that repeat a query keep its plan
+// themselves (the live layer's plan cache does).
+type Planner interface {
+	Engine
+	// Plan validates and compiles q.
+	Plan(q *query.BGP) (Plan, error)
+	// OpenPlan executes a plan this engine's Plan returned.
+	OpenPlan(p Plan, opts ExecOpts) (Cursor, error)
+}
+
+// Compile returns e's plan for q: the engine's own compiled plan when e is
+// a Planner, else q itself (engines that plan inside every Open).
+func Compile(e Engine, q *query.BGP) (Plan, error) {
+	if pl, ok := e.(Planner); ok {
+		return pl.Plan(q)
+	}
+	return q, nil
+}
+
+// OpenCompiled executes a plan Compile(e, ...) returned.
+func OpenCompiled(e Engine, p Plan, opts ExecOpts) (Cursor, error) {
+	if pl, ok := e.(Planner); ok {
+		return pl.OpenPlan(p, opts)
+	}
+	return e.Open(p.(*query.BGP), opts)
+}
+
 // Execute runs q to completion on e and materializes the result — the old
 // one-shot API, preserved for tests, benchmarks, and CLIs on top of the
 // cursor contract.

@@ -12,7 +12,6 @@ package logicblox
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/exec"
@@ -22,17 +21,14 @@ import (
 	"repro/internal/store"
 )
 
-// Engine is the LogicBlox-like baseline.
+// Engine is the LogicBlox-like baseline. It holds no per-query state.
 type Engine struct {
 	st *store.Store
-
-	mu    sync.Mutex
-	plans map[*query.BGP]*plan.Plan
 }
 
 // New returns the engine over st.
 func New(st *store.Store) *Engine {
-	return &Engine{st: st, plans: map[*query.BGP]*plan.Plan{}}
+	return &Engine{st: st}
 }
 
 // Name implements engine.Engine.
@@ -40,30 +36,19 @@ func (e *Engine) Name() string { return "logicblox" }
 
 // Open compiles the query to a single-node plan (flat generic join over
 // every relation, attributes in order of first appearance) and streams it
-// with uint-array layouts. Plans are cached per parsed query.
+// with uint-array layouts.
 func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
-	e.mu.Lock()
-	p, ok := e.plans[q]
-	e.mu.Unlock()
-	if !ok {
-		var err error
-		p, err = e.Plan(q)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.plans[q] = p
-		e.mu.Unlock()
+	p, err := e.Plan(q)
+	if err != nil {
+		return nil, err
 	}
 	return e.OpenPlan(p, opts)
 }
 
-// OpenPlan streams a plan previously compiled with Plan (the query server's
-// plan-cache path). The plan must have been compiled over this engine's
-// store. The LogicBlox model has no parallel enumeration; opts.Workers is
-// ignored.
-func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
-	return exec.Open(p, e.st, exec.Options{
+// OpenPlan implements engine.Planner. The LogicBlox model has no parallel
+// enumeration; opts.Workers is ignored.
+func (e *Engine) OpenPlan(p engine.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
+	return exec.Open(p.(*plan.Plan), e.st, exec.Options{
 		Policy:  set.PolicyUintOnly,
 		Ctx:     opts.Ctx,
 		MaxRows: opts.MaxRows,
@@ -71,9 +56,9 @@ func (e *Engine) OpenPlan(p *plan.Plan, opts engine.ExecOpts) (engine.Cursor, er
 	})
 }
 
-// Plan builds the flat single-node plan directly (bypassing the GHD
-// optimizer on purpose).
-func (e *Engine) Plan(q *query.BGP) (*plan.Plan, error) {
+// Plan implements engine.Planner: it builds the flat single-node plan (a
+// *plan.Plan) directly, bypassing the GHD optimizer on purpose.
+func (e *Engine) Plan(q *query.BGP) (engine.Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -177,4 +162,4 @@ func (e *Engine) Plan(q *query.BGP) (*plan.Plan, error) {
 	}, nil
 }
 
-var _ engine.Engine = (*Engine)(nil)
+var _ engine.Planner = (*Engine)(nil)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -24,7 +25,7 @@ func build() (*Engine, *store.Store) {
 func TestFlatPlanSingleNode(t *testing.T) {
 	e, _ := build()
 	q := query.MustParseSPARQL(`SELECT ?x ?y ?z WHERE { ?x <e> ?y . ?y <e> ?z . ?z <e> ?x . }`)
-	p, err := e.Plan(q)
+	p, err := flatPlan(e, q)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestMissingConstantsShortCircuit(t *testing.T) {
 func TestSelectionsStayAtNaturalPositions(t *testing.T) {
 	e, _ := build()
 	q := query.MustParseSPARQL(`SELECT ?x WHERE { ?x <type> <T> . }`)
-	p, err := e.Plan(q)
+	p, err := flatPlan(e, q)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -112,4 +113,13 @@ func TestInvalidQueryRejected(t *testing.T) {
 	if _, err := engine.Execute(e, &query.BGP{Select: []string{"x"}}); err == nil {
 		t.Errorf("invalid query accepted")
 	}
+}
+
+// flatPlan compiles q to the engine's concrete plan type.
+func flatPlan(e *Engine, q *query.BGP) (*plan.Plan, error) {
+	p, err := e.Plan(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.(*plan.Plan), nil
 }

@@ -1,8 +1,6 @@
 package engines
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/engine/logicblox"
@@ -18,15 +16,12 @@ import (
 // selective and cyclic queries, a flat worst-case optimal leapfrog for
 // intersection-heavy big-output queries (where GHD materialization costs
 // more than it saves), and uint-layout scan enumeration for join-free
-// output-dominated queries (where bitset decode is pure overhead). Routing
-// decisions are cached per parsed query; the cache's hit rate and every
-// pick are recorded in the stats.Default ledger for /stats.
+// output-dominated queries (where bitset decode is pure overhead). The
+// routing decision is part of the plan; every pick is recorded in the
+// stats.Default ledger for /stats.
 type autoEngine struct {
 	st      *store.Store
 	byClass [3]engine.Engine
-
-	mu     sync.Mutex
-	routes map[*query.BGP]plan.EngineClass
 }
 
 func newAuto(st *store.Store) *autoEngine {
@@ -43,41 +38,54 @@ func newAuto(st *store.Store) *autoEngine {
 				Pipelining:       true,
 			}),
 		},
-		routes: map[*query.BGP]plan.EngineClass{},
 	}
 }
+
+// route is the auto engine's plan: the query's cost-model profile, the
+// class it chose, and that class's engine's own plan.
+type route struct {
+	prof  plan.Profile
+	class plan.EngineClass
+	sub   engine.Plan
+}
+
+// Profile exposes the cost-model profile the route was chosen from, so a
+// plan cache can price the entry without profiling the query again.
+func (r *route) Profile() plan.Profile { return r.prof }
 
 // Name implements engine.Engine.
 func (e *autoEngine) Name() string { return "auto" }
 
-// route resolves (and caches) the engine class for q.
-func (e *autoEngine) route(q *query.BGP) (engine.Engine, plan.EngineClass, error) {
-	e.mu.Lock()
-	cls, ok := e.routes[q]
-	e.mu.Unlock()
-	stats.Default.RecordCostLookup(ok)
-	if !ok {
-		prof, err := plan.ProfileQuery(q, e.st)
-		if err != nil {
-			return nil, 0, err
-		}
-		cls, _ = prof.ChooseClass()
-		e.mu.Lock()
-		e.routes[q] = cls
-		e.mu.Unlock()
-	}
-	stats.Default.RecordEnginePick(cls.String())
-	return e.byClass[cls], cls, nil
-}
-
-// Open implements engine.Engine by delegating to the routed engine.
-func (e *autoEngine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
-	sub, cls, err := e.route(q)
+// Plan implements engine.Planner: profile q, pick the cheapest class, and
+// compile q on that class's engine.
+func (e *autoEngine) Plan(q *query.BGP) (engine.Plan, error) {
+	prof, err := plan.ProfileQuery(q, e.st)
 	if err != nil {
 		return nil, err
 	}
-	obs.SpanFrom(opts.Ctx).SetAttr("engine_class", cls.String())
-	return sub.Open(q, opts)
+	cls, _ := prof.ChooseClass()
+	sub, err := engine.Compile(e.byClass[cls], q)
+	if err != nil {
+		return nil, err
+	}
+	return &route{prof: prof, class: cls, sub: sub}, nil
 }
 
-var _ engine.Engine = (*autoEngine)(nil)
+// OpenPlan implements engine.Planner by delegating to the routed engine.
+func (e *autoEngine) OpenPlan(p engine.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
+	r := p.(*route)
+	stats.Default.RecordEnginePick(r.class.String())
+	obs.SpanFrom(opts.Ctx).SetAttr("engine_class", r.class.String())
+	return engine.OpenCompiled(e.byClass[r.class], r.sub, opts)
+}
+
+// Open implements engine.Engine.
+func (e *autoEngine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
+	p, err := e.Plan(q)
+	if err != nil {
+		return nil, err
+	}
+	return e.OpenPlan(p, opts)
+}
+
+var _ engine.Planner = (*autoEngine)(nil)

@@ -29,7 +29,8 @@
 // when sharded) and swaps it in under a bumped epoch counter. In-flight
 // cursors pin the state they opened against and finish on it; there is no
 // stop-the-world. The epoch is the invalidation signal for anything
-// compiled against base statistics (the server keys its plan cache by it).
+// compiled against base statistics: the store's plan cache (plancache.go)
+// keys entries by it and drops the older epoch's entries at the swap.
 package live
 
 import (
@@ -41,7 +42,6 @@ import (
 
 	"repro/internal/dict"
 	"repro/internal/engine"
-	"repro/internal/query"
 	"repro/internal/rdf"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -87,6 +87,8 @@ type Store struct {
 	dur Durability // guarded by mu; nil when the store is not durable
 	cur atomic.Pointer[state]
 
+	plans *PlanCache
+
 	// snapMu serializes SnapshotTo writers, and lastSnapEpoch guards
 	// against epoch regression: with two overlapping compact+persist
 	// sequences (an explicit /compact racing the background compactor), a
@@ -126,9 +128,8 @@ type baseRef struct {
 	setOnce sync.Once
 	set     map[store.Triple]struct{} // base membership, for the write path
 
-	engMu      sync.Mutex
-	engines    map[string]*engineSlot
-	noDistinct map[*query.BGP]*query.BGP // interned DISTINCT-stripped query clones
+	engMu   sync.Mutex
+	engines map[string]*engineSlot
 }
 
 type engineSlot struct {
@@ -194,7 +195,7 @@ func NewStore(base *store.Store, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	ls := &Store{opts: opts, dict: base.Dict()}
+	ls := &Store{opts: opts, dict: base.Dict(), plans: newPlanCache(defaultPlanCacheSize)}
 	ls.cur.Store(&state{epoch: 0, base: ref, delta: emptyDelta()})
 	return ls, nil
 }
@@ -207,6 +208,16 @@ func (ls *Store) pin() *state {
 }
 
 func (s *state) unpin() { s.base.pins.Add(-1) }
+
+// PlanCache returns the store's plan cache, shared by every Engine over it.
+func (ls *Store) PlanCache() *PlanCache { return ls.plans }
+
+// publish swaps in a new base under the next epoch and drops the plan
+// cache's entries for older epochs. Callers hold ls.mu.
+func (ls *Store) publish(s *state) {
+	ls.cur.Store(s)
+	ls.plans.dropBefore(s.epoch)
+}
 
 // Dict returns the shared dictionary (append-only, concurrency-safe).
 func (ls *Store) Dict() *dict.Dictionary { return ls.dict }
@@ -331,7 +342,7 @@ func (ls *Store) Compact() (CompactStats, error) {
 		return CompactStats{}, fmt.Errorf("live: compact: %w", err)
 	}
 	drained := s.delta.size()
-	ls.cur.Store(&state{epoch: s.epoch + 1, base: ref, delta: emptyDelta()})
+	ls.publish(&state{epoch: s.epoch + 1, base: ref, delta: emptyDelta()})
 	dur := time.Since(start)
 	ls.compactions.Add(1)
 	ls.lastCompactNanos.Store(int64(dur))
@@ -376,7 +387,7 @@ func (ls *Store) SetShards(n int) error {
 		return fmt.Errorf("live: %w", err)
 	}
 	ls.opts.Shards = n
-	ls.cur.Store(&state{epoch: s.epoch + 1, base: ref, delta: s.delta})
+	ls.publish(&state{epoch: s.epoch + 1, base: ref, delta: s.delta})
 	return nil
 }
 

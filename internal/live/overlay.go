@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/engine"
-	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -53,18 +52,23 @@ type evaluator struct {
 	tick *engine.Ticker
 }
 
-// openOverlay returns the merged overlay cursor for q over the pinned state
-// s, streaming the base term from inner. basePlan, when non-nil, is a plan
-// for q compiled against s's base through the inner engine (only usable
-// when q has no DISTINCT — the base stream must keep multiplicities).
-func openOverlay(s *state, inner engine.Engine, q *query.BGP, basePlan *plan.Plan, opts engine.ExecOpts) engine.Cursor {
+// openOverlay returns the merged overlay cursor for pq over the pinned
+// state s, streaming the base term from inner, the engine that compiled pq.
+// DISTINCT is applied after the merge and caps/offsets at the merge layer,
+// so the base stream runs pq's DISTINCT-stripped plan uncapped.
+func openOverlay(s *state, inner engine.Engine, pq *Prepared, opts engine.ExecOpts) engine.Cursor {
+	q := pq.bgp
 	produce := func(ctx context.Context, emit func([]uint32) error) error {
 		ev := &evaluator{s: s, tick: engine.NewTicker(ctx)}
 		net, err := ev.corrections(q)
 		if err != nil {
 			return err
 		}
-		cur, err := openBase(s, inner, q, basePlan, engine.ExecOpts{Ctx: ctx, Workers: opts.Workers})
+		bp, err := pq.basePlan(inner)
+		if err != nil {
+			return err
+		}
+		cur, err := engine.OpenCompiled(inner, bp, engine.ExecOpts{Ctx: ctx, Workers: opts.Workers})
 		if err != nil {
 			return err
 		}
@@ -118,48 +122,6 @@ func openOverlay(s *state, inner engine.Engine, q *query.BGP, basePlan *plan.Pla
 	}
 	cur := engine.NewGenerator(opts.Ctx, q.Select, produce)
 	return engine.Limit(cur, opts.Offset, opts.MaxRows)
-}
-
-// openBase starts the Q(B) stream: through the compiled plan when one is
-// usable, else through the inner engine's own Open. DISTINCT is stripped —
-// the merge needs the base multiset — and caps/offsets stay at the merge
-// layer.
-func openBase(s *state, inner engine.Engine, q *query.BGP, basePlan *plan.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
-	if q.Distinct {
-		return inner.Open(s.base.bareClone(q), opts)
-	}
-	if basePlan != nil {
-		if po, ok := inner.(planOpener); ok {
-			return po.OpenPlan(basePlan, opts)
-		}
-	}
-	return inner.Open(q, opts)
-}
-
-// bareCloneCap bounds the interned DISTINCT-stripped clones per base: the
-// server's plan-cache churn mints fresh normalized BGP pointers, and an
-// epoch can live a long time between compactions, so the intern map must
-// not grow without bound. Past the cap clones are returned uncached (the
-// inner engine replans that execution — correct, just slower).
-const bareCloneCap = 1024
-
-// bareClone returns q with DISTINCT stripped, interned per base so the
-// inner engine's per-pointer plan cache still hits across requests.
-func (b *baseRef) bareClone(q *query.BGP) *query.BGP {
-	b.engMu.Lock()
-	defer b.engMu.Unlock()
-	if c, ok := b.noDistinct[q]; ok {
-		return c
-	}
-	c := *q
-	c.Distinct = false
-	if b.noDistinct == nil {
-		b.noDistinct = map[*query.BGP]*query.BGP{}
-	}
-	if len(b.noDistinct) < bareCloneCap {
-		b.noDistinct[q] = &c
-	}
-	return &c
 }
 
 // corrections nets every correction term for q into a per-row map keyed by

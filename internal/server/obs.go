@@ -118,7 +118,7 @@ type explainResponse struct {
 // (compiling on a miss — planning is the thing being explained) and report
 // the decisions without acquiring pool slots or opening any cursor.
 func (s *Server) explainPlan(w http.ResponseWriter, qid, engineName string, le *live.Engine, q *query.BGP) error {
-	pq, hit, err := s.prepare(engineName, le, q)
+	pq, hit, err := le.Prepare(q)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "planning: %v", err)
 		return err
@@ -127,38 +127,26 @@ func (s *Server) explainPlan(w http.ResponseWriter, qid, engineName string, le *
 		QueryID: qid,
 		Engine:  engineName,
 		Cache:   "miss",
-		Class:   pq.className(),
-		Costs:   pq.costs,
+		Costs:   pq.Costs,
+		Scatter: pq.Scatter(),
 		Plan:    "per-execution",
+	}
+	if pq.Profiled {
+		resp.Class = pq.Class.String()
 	}
 	if hit {
 		resp.Cache = "hit"
 	}
-	if pq.plan != nil {
+	if pq.Compiled() {
 		resp.Plan = "compiled"
-	}
-	if inner, ierr := le.Inner(); ierr == nil {
-		if se, ok := inner.(*shard.Engine); ok {
-			if ep, eerr := se.Explain(pq.bgp); eerr == nil {
-				resp.Scatter = ep
-			}
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 	return nil
 }
 
-// className renders the cost model's choice, empty when profiling failed.
-func (pq *preparedQuery) className() string {
-	if !pq.profiled {
-		return ""
-	}
-	return pq.class.String()
-}
-
 // annotatePlanSpan records the planner's decisions on the plan span.
-func annotatePlanSpan(sp *obs.Span, pq *preparedQuery, hit bool) {
+func annotatePlanSpan(sp *obs.Span, pq *live.Prepared, hit bool) {
 	if sp == nil {
 		return
 	}
@@ -167,10 +155,10 @@ func annotatePlanSpan(sp *obs.Span, pq *preparedQuery, hit bool) {
 	} else {
 		sp.SetAttr("cache", "miss")
 	}
-	if pq.profiled {
-		sp.SetAttr("engine_class", pq.class.String())
+	if pq.Profiled {
+		sp.SetAttr("engine_class", pq.Class.String())
 		for _, c := range plan.Classes() {
-			sp.SetAttr("cost_"+c.String(), pq.costs[c.String()])
+			sp.SetAttr("cost_"+c.String(), pq.Costs[c.String()])
 		}
 	}
 }

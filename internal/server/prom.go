@@ -67,8 +67,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, cls := range obs.SortedKeys(ch.EnginePicks) {
 		pw.Counter("rdf_engine_picks_total", "Cost-model engine-class choices, by class.", float64(ch.EnginePicks[cls]), "class", cls)
 	}
-	pw.Counter("rdf_cost_lookups_total", "Routing-decision cache lookups.", float64(ch.CostLookups))
-	pw.Counter("rdf_cost_hits_total", "Routing-decision cache hits.", float64(ch.CostHits))
 
 	if sh := st.Sharding; sh != nil {
 		pw.Gauge("rdf_shards", "Configured shard count.", float64(sh.Shards))
@@ -80,8 +78,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		pw.Counter("rdf_shards_pruned_total", "(group, shard) scatter targets statistics proved empty.", float64(sh.ShardsPruned))
 		pw.Counter("rdf_scatter_groups_planned_total", "Root-covered groups compiled into scatter plans.", float64(sh.GroupsPlanned))
-		pw.Counter("rdf_scatter_plan_reuse_hits_total", "Opens served from a cached scatter plan.", float64(sh.PlanReuseHits))
-		pw.Counter("rdf_scatter_plans_compiled_total", "Scatter-plan cache misses.", float64(sh.PlansCompiled))
+		pw.Counter("rdf_scatter_plan_reuse_hits_total", "Queries served from a plan-cache entry's scatter plan.", float64(sh.PlanReuseHits))
+		pw.Counter("rdf_scatter_plans_compiled_total", "Scatter plans compiled.", float64(sh.PlansCompiled))
 		if part := s.ls.Part(); part != nil {
 			pw.Histogram("rdf_merge_batch_rows", "Rows per flushed merge-transport batch.", part.BatchRowsHist())
 			pw.Histogram("rdf_shards_pruned_per_query", "Scatter targets pruned per compiled plan.", part.PrunedPerQueryHist())

@@ -15,11 +15,13 @@
 //
 //   - Queries are α-normalized (internal/query.Normalize) so requests that
 //     differ only in variable naming share one compiled plan.
-//   - Compiled plans are held in a bounded LRU keyed by store epoch +
-//     normalized query + engine + plan options, with hit/miss counters
-//     surfaced at /stats. The epoch in the key means a compaction can never
-//     serve a plan compiled against dropped statistics: post-swap requests
-//     miss and recompile against the new base.
+//   - Compiled plans live in the live store's one plan cache
+//     (internal/live), a bounded LRU keyed by epoch, engine, plan options
+//     and normalized query text, with hit/miss counters surfaced at /stats.
+//     An entry holds the whole compiled tree (auto route, GHD plan, scatter
+//     plan), and /query, live.Engine.Open and the worker's /shard/query all
+//     share it. A compaction drops the old epoch's entries, so no plan
+//     compiled against dropped statistics is ever served.
 //   - Execution is the engine.Cursor contract: every engine streams rows
 //     and honours context cancellation, so responses are encoded straight
 //     off the cursor — per-request memory is O(batch), first-byte latency
@@ -64,7 +66,6 @@ import (
 	"repro/internal/engines"
 	"repro/internal/live"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/stats"
@@ -91,7 +92,8 @@ type Config struct {
 	// DefaultEngine answers requests without ?engine=. Default
 	// "emptyheaded".
 	DefaultEngine string
-	// PlanCacheSize bounds the compiled-plan LRU. Default 256 entries.
+	// PlanCacheSize bounds the live store's plan cache. Default 256
+	// entries.
 	PlanCacheSize int
 	// MaxConcurrent bounds worker-pool slots (concurrently executing
 	// work); further requests queue (and may time out waiting, or be
@@ -188,7 +190,6 @@ const defaultMaxUpdateBytes = 8 << 20
 type Server struct {
 	cfg   Config
 	ls    *live.Store
-	cache *planCache
 	pool  *wsem
 	stats *metrics
 	start time.Time
@@ -206,11 +207,6 @@ type Server struct {
 	// created on demand under mu.
 	mu      sync.Mutex
 	engines map[string]*live.Engine
-
-	// shardQ interns /shard/query sub-query texts to stable parsed
-	// pointers (see internShardQuery).
-	shardQMu sync.Mutex
-	shardQ   map[string]*query.BGP
 }
 
 // knownEngine reports whether name is in the registry, without building
@@ -278,15 +274,14 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		ls:      ls,
-		cache:   newPlanCache(cfg.PlanCacheSize),
 		pool:    newWsem(cfg.MaxConcurrent),
 		stats:   newMetrics(),
 		start:   time.Now(),
 		log:     cfg.Logger,
 		traces:  obs.NewTraceRing(traceRingSize),
 		engines: map[string]*live.Engine{},
-		shardQ:  map[string]*query.BGP{},
 	}
+	ls.PlanCache().Resize(cfg.PlanCacheSize)
 	// Construct the default engine's inner instance now — it both validates
 	// the name and front-loads any eager index construction (rdf3x sorts six
 	// triple permutations) so the first request doesn't pay for it.
@@ -394,94 +389,6 @@ func engineSupportsWorkers(le *live.Engine) bool {
 	}
 	_, ok := eng.(*core.Engine)
 	return ok
-}
-
-// preparedQuery is one plan-cache entry: the interned normalized BGP and,
-// for engines that separate compilation from execution (core/EmptyHeaded),
-// its compiled plan tagged with the epoch it was compiled at. All fields
-// are immutable and shared by concurrent executions.
-type preparedQuery struct {
-	bgp   *query.BGP
-	plan  *plan.Plan // nil for engines that plan internally per execution
-	epoch uint64     // epoch plan was compiled against (meaningful when plan != nil)
-	cost  float64    // cost-model estimate; drives cache eviction priority
-
-	// Cost-model decision, retained for the EXPLAIN surface and trace
-	// attributes: the chosen class and the per-class estimates it was chosen
-	// from. profiled is false when ProfileQuery failed (the query still
-	// runs; the explanation just has no cost section).
-	profiled bool
-	class    plan.EngineClass
-	costs    map[string]float64
-}
-
-// prepare resolves q to a cache entry for engineName, compiling on miss.
-// The key carries the store epoch, so entries from before a compaction
-// swap — whose plans were costed against statistics that no longer exist —
-// can never be served afterwards; they age out of the LRU. Under sharding
-// the cache holds the interned normalized BGP, and that interning is what
-// makes the shard engine's own caches work: shard.Engine memoizes its
-// scatter plan (decomposition, statistics-pruned targets, probe choice,
-// per-shard sub-queries) per *query.BGP pointer, and hands every shard the
-// same sub-query pointers so the per-shard engines' plan caches hit too —
-// a repeated sharded query skips all per-shard planning, not just
-// parse+normalize (/stats sharding.plan_reuse_hits counts these).
-func (s *Server) prepare(engineName string, le *live.Engine, q *query.BGP) (*preparedQuery, bool, error) {
-	norm, key := query.Normalize(q)
-	key = "e" + strconv.FormatUint(le.Epoch(), 10) + "|" + engineName + "|" + s.optionsKey(le) + "|" + key
-	if pq, ok := s.cache.get(key); ok {
-		return pq, true, nil
-	}
-	pq := &preparedQuery{bgp: norm}
-	p, epoch, ok, err := le.PlanFor(norm)
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		pq.plan, pq.epoch = p, epoch
-	}
-	// Price the query for the eviction policy: expensive plans are the ones
-	// worth keeping when the cache is under pressure. A profiling error just
-	// leaves cost 0 (lowest keep-priority). The per-class estimates are
-	// retained on the entry for EXPLAIN and trace attributes.
-	if prof, perr := plan.ProfileQuery(norm, s.ls.Base()); perr == nil {
-		pq.class, pq.cost = prof.ChooseClass()
-		pq.profiled = true
-		pq.costs = make(map[string]float64, len(plan.Classes()))
-		for _, c := range plan.Classes() {
-			pq.costs[c.String()] = prof.Cost(c)
-		}
-	}
-	s.cache.add(key, pq)
-	return pq, false, nil
-}
-
-// optionsKey renders the plan-relevant options of the wrapped engine into
-// the cache key, so engines with different optimization configurations
-// never share plans.
-func (s *Server) optionsKey(le *live.Engine) string {
-	eng, err := le.Inner()
-	if err != nil {
-		return ""
-	}
-	if ce, ok := eng.(*core.Engine); ok {
-		o := ce.Options()
-		return plan.Options{
-			Layout:           ce.Policy(),
-			AttributeReorder: o.AttributeReorder,
-			GHDPushdown:      o.GHDPushdown,
-			Pipelining:       o.Pipelining,
-		}.Key()
-	}
-	return ""
-}
-
-// open starts the prepared query: the live engine reuses the cached plan
-// when it still matches the current epoch (fast path and overlay base
-// stream alike) and replans otherwise. Every engine returns a streaming,
-// cancellable cursor — there is no detached fallback.
-func (s *Server) open(le *live.Engine, pq *preparedQuery, opts engine.ExecOpts) (engine.Cursor, error) {
-	return le.OpenPrepared(pq.bgp, pq.plan, pq.epoch, opts)
 }
 
 // estimateWait predicts how long a request for engineName needing n slots
@@ -778,7 +685,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	plsp := root.Child("plan")
-	pq, hit, err := s.prepare(engineName, eng, q)
+	pq, hit, err := eng.Prepare(q)
 	if err != nil {
 		plsp.End()
 		httpError(w, http.StatusInternalServerError, "planning: %v", err)
@@ -790,7 +697,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	execSp = root.Child("execute")
 	execStart := time.Now()
-	cur, err := s.open(eng, pq, engine.ExecOpts{
+	cur, err := eng.OpenPrepared(pq, engine.ExecOpts{
 		Ctx:     obs.WithSpan(ctx, execSp),
 		MaxRows: maxRows,
 		Offset:  offset,
@@ -1183,7 +1090,7 @@ func (s *Server) Stats() Stats {
 		QueueDepth:       queued,
 		ByEngine:         byEngine,
 		EngineLatency:    engLat,
-		PlanCache:        s.cache.stats(),
+		PlanCache:        s.ls.PlanCache().Stats(),
 		Chooser:          stats.Default.Snapshot(),
 		Latency:          lat,
 		Sharding:         sharding,

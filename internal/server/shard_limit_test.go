@@ -99,9 +99,9 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 	}
 	// Scatter-planning counters: the traffic above compiled root-covered
 	// groups, and the repeated queries (the triangle ran more than once per
-	// engine) were answered from cached scatter plans — the plan-cache
-	// interning chain (normalize → interned BGP pointer → shard plan cache)
-	// is load-bearing for the sharded hot path, so its observability is too.
+	// engine) were answered from the plan cache's scatter plans — plan
+	// reuse is load-bearing for the sharded hot path, so its observability
+	// is too.
 	if stats.Sharding.PlansCompiled == 0 || stats.Sharding.GroupsPlanned == 0 {
 		t.Fatalf("no scatter planning recorded: %+v", stats.Sharding)
 	}

@@ -25,6 +25,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,41 +33,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/live"
 	"repro/internal/query"
 	"repro/internal/shard"
 )
-
-// shardQueryCacheCap bounds the worker's parsed sub-query intern map.
-const shardQueryCacheCap = 1 << 12
-
-// internShardQuery parses text, memoizing the parsed query per text so
-// repeated drains of the same sub-query hand every engine layer the same
-// *query.BGP pointer (the per-shard plan caches key on it).
-func (s *Server) internShardQuery(text string) (*query.BGP, error) {
-	s.shardQMu.Lock()
-	if q, ok := s.shardQ[text]; ok {
-		s.shardQMu.Unlock()
-		return q, nil
-	}
-	s.shardQMu.Unlock()
-	q, err := query.ParseSPARQL(text)
-	if err != nil {
-		return nil, err
-	}
-	s.shardQMu.Lock()
-	defer s.shardQMu.Unlock()
-	if cached, ok := s.shardQ[text]; ok {
-		return cached, nil
-	}
-	if len(s.shardQ) >= shardQueryCacheCap {
-		for k := range s.shardQ {
-			delete(s.shardQ, k)
-			break
-		}
-	}
-	s.shardQ[text] = q
-	return q, nil
-}
 
 // shardIntParam parses an integer query parameter with a default for the
 // empty string (owner uses -1 = unfiltered).
@@ -146,25 +116,13 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "reading sub-query: %v", err)
 		return
 	}
-	q, err := s.internShardQuery(text)
+	q, err := query.ParseSPARQL(text)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if owner >= 0 && (root < 0 || root >= len(q.Select)) {
 		httpError(w, http.StatusBadRequest, "bad root index %d for %d-variable sub-query", root, len(q.Select))
-		return
-	}
-
-	epoch := le.Epoch()
-	inner, err := le.Inner()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "building engine: %v", err)
-		return
-	}
-	se, ok := inner.(*shard.Engine)
-	if !ok {
-		httpError(w, http.StatusServiceUnavailable, "engine %q is not sharded on this worker", engineName)
 		return
 	}
 
@@ -176,7 +134,11 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Workers=0: the exactly-once resume contract requires deterministic
 	// enumeration order across attempts.
-	cur, err := se.ShardEngine(sh).Open(q, engine.ExecOpts{Ctx: ctx})
+	cur, epoch, err := le.OpenShard(sh, q, engine.ExecOpts{Ctx: ctx})
+	if errors.Is(err, live.ErrNotSharded) {
+		httpError(w, http.StatusServiceUnavailable, "engine %q is not sharded on this worker", engineName)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "opening sub-query: %v", err)
 		return

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -61,12 +62,11 @@ type ShardingStats struct {
 	ShardsPruned int64 `json:"shards_pruned"`
 	// GroupsPlanned counts root-covered groups compiled into scatter plans.
 	GroupsPlanned int64 `json:"groups_planned"`
-	// PlanReuseHits counts queries answered from a cached scatter plan
-	// (decomposition, pruning, probe choice, and the per-shard sub-queries
-	// all reused). Near-zero under a repeated-query workload means the plan
-	// cache is not interning queries to stable pointers.
+	// PlanReuseHits counts queries served from a plan-cache entry's
+	// scatter plan (decomposition, pruning, probe choice, and the per-shard
+	// sub-plans all reused).
 	PlanReuseHits int64 `json:"plan_reuse_hits"`
-	// PlansCompiled counts scatter-plan cache misses.
+	// PlansCompiled counts scatter plans compiled into the plan cache.
 	PlansCompiled int64 `json:"plans_compiled"`
 }
 
@@ -169,7 +169,7 @@ type Stats struct {
 	QueueDepth    int                      `json:"queue_depth"`
 	ByEngine      map[string]uint64        `json:"by_engine"`
 	EngineLatency map[string]EngineLatency `json:"engine_latency"`
-	PlanCache     CacheStats               `json:"plan_cache"`
+	PlanCache     live.CacheStats          `json:"plan_cache"`
 	Latency       LatencyStats             `json:"latency"`
 	// Sharding is present only when the server partitioned its store
 	// (Config.Shards > 1).

@@ -15,32 +15,17 @@ import (
 )
 
 // Engine executes queries by scatter-gather over the shards of a
-// Partitioned dataset. It implements the repository-wide engine.Engine
-// contract — Open(q, ExecOpts) → Cursor — by compiling each query into a
-// cached scatter plan (root-group decomposition, statistics-pruned shard
-// targets, probe-side choice; see qplan.go), opening one cursor per
-// surviving shard concurrently, and streaming their merged rows:
-// cancellation, DISTINCT deduplication, Offset, and the exact MaxRows cap
-// are all enforced once at the merge cursor, with row caps propagated down
-// to the shard drains as per-shard hints.
+// Partitioned dataset. It implements engine.Planner: Plan compiles a query
+// into a scatter plan (root-group decomposition, statistics-pruned shard
+// targets, probe-side choice, per-shard sub-plans; see qplan.go), and
+// OpenPlan opens one cursor per surviving shard concurrently and streams
+// their merged rows: cancellation, DISTINCT deduplication, Offset, and the
+// exact MaxRows cap are all enforced once at the merge cursor, with row
+// caps propagated down to the shard drains as per-shard hints.
 type Engine struct {
 	part *Partitioned
 	base string
 	engs []engine.Engine
-
-	// constSeen memoizes fully-constant-pattern existence checks: the
-	// partition is immutable, and the check otherwise scans one predicate's
-	// relation per compile. Capped at constSeenCap entries (one arbitrary
-	// entry evicted when full) so an adversarial stream of distinct constant
-	// patterns cannot grow server memory without bound.
-	constMu   sync.Mutex
-	constSeen map[store.Triple]bool
-
-	// qplans caches compiled scatter plans per query pointer (see planFor);
-	// the server's plan cache interns normalized queries to stable pointers,
-	// so repeated requests hit here and skip all per-shard planning.
-	planMu sync.Mutex
-	qplans map[*query.BGP]*queryPlan
 
 	// noPrune disables statistics pruning — the property-test oracle proving
 	// pruned and unpruned scatter agree. Never set in production paths.
@@ -51,12 +36,6 @@ type Engine struct {
 	// the partition's statistics; only execution fans out.
 	remote RemoteOpener
 }
-
-// constSeenCap bounds the existence-check memo. Eviction is one arbitrary
-// entry per insert (map iteration order), not a wholesale reset: dropping
-// the full map made every memoized constant pattern rescan its relation at
-// once — a periodic thundering herd under an adversarial constant stream.
-const constSeenCap = 1 << 14
 
 // NewEngine builds one instance of a base engine over every shard of p
 // (via build, typically the engine registry) and returns the scatter-gather
@@ -75,13 +54,7 @@ func NewEngine(p *Partitioned, name string, build func(*store.Store) (engine.Eng
 		}
 		engs[i] = e
 	}
-	return &Engine{
-		part:      p,
-		base:      name,
-		engs:      engs,
-		constSeen: map[store.Triple]bool{},
-		qplans:    map[*query.BGP]*queryPlan{},
-	}, nil
+	return &Engine{part: p, base: name, engs: engs}, nil
 }
 
 // Name identifies the engine and its shard count in benchmark output.
@@ -95,35 +68,25 @@ func (e *Engine) Name() string {
 // wrapper forwards to every shard.
 func (e *Engine) ShardEngine(i int) engine.Engine { return e.engs[i] }
 
-// Open starts the sharded execution of q under its cached scatter plan. A
-// single root-covered group scatters to the plan's surviving shards and
-// streams the merged union; multiple groups additionally join their
-// streams at the merge layer.
+// Open implements engine.Engine: compile q's scatter plan and open it.
 func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error) {
-	if err := q.Validate(); err != nil {
+	p, err := e.Plan(q)
+	if err != nil {
 		return nil, err
 	}
+	return e.OpenPlan(p, opts)
+}
+
+// OpenPlan implements engine.Planner. A single root-covered group scatters
+// to the plan's surviving shards (or routes to the one shard that answers
+// it) and streams the merged union; multiple groups additionally join
+// their streams at the merge layer.
+func (e *Engine) OpenPlan(p engine.Plan, opts engine.ExecOpts) (engine.Cursor, error) {
 	if err := opts.Err(); err != nil {
 		return nil, err
 	}
-	if len(e.engs) == 1 {
-		// One shard is the whole dataset: pass straight through.
-		if e.remote != nil {
-			cur, err := e.openShard(opts.Ctx, 0, q, RemoteHints{Owner: -1, SinglePattern: len(q.Patterns) == 1})
-			if err != nil {
-				return nil, err
-			}
-			cur, err = e.counting(0, cur, err)
-			if err != nil {
-				return nil, err
-			}
-			return engine.Limit(cur, opts.Offset, opts.MaxRows), nil
-		}
-		cur, err := e.engs[0].Open(q, opts)
-		return e.counting(0, cur, err)
-	}
-	qp := e.planFor(q)
-	if sp := obs.SpanFrom(opts.Ctx); sp != nil && qp.explain != nil {
+	qp := p.(*queryPlan)
+	if sp := obs.SpanFrom(opts.Ctx); sp != nil {
 		// Annotate the caller's execution span with the scatter shape: the
 		// trace's "which shards did this query touch, which did statistics
 		// skip" answer. Untraced queries skip this block on the nil check.
@@ -134,12 +97,12 @@ func (e *Engine) Open(q *query.BGP, opts engine.ExecOpts) (engine.Cursor, error)
 		sp.SetAttr("groups", len(qp.explain.Groups))
 	}
 	if qp.empty {
-		return emptyCursor{vars: q.Select}, nil
+		return emptyCursor{vars: qp.vars}, nil
 	}
 	if qp.single != nil {
 		return e.openSingle(qp.single, opts)
 	}
-	return e.openJoin(q, qp.join, opts)
+	return e.openJoin(qp.join, opts)
 }
 
 // splitConstant separates fully-constant patterns (no variables anywhere)
@@ -160,9 +123,8 @@ func (e *Engine) splitConstant(pats []query.Pattern) (rest []query.Pattern, ok b
 }
 
 // hasTriple reports whether the fully-constant pattern's triple exists. The
-// subject's owner shard holds it if anyone does. The relation scan runs at
-// most once per distinct constant triple (results are memoized — the
-// partition is immutable).
+// subject's owner shard holds it if anyone does. The relation scan runs
+// once per compile; the plan cache keeps the result on the plan.
 func (e *Engine) hasTriple(p query.Pattern) bool {
 	d := e.part.dict
 	s, ok := d.Lookup(p.S.Term)
@@ -177,36 +139,14 @@ func (e *Engine) hasTriple(p query.Pattern) bool {
 	if !ok {
 		return false
 	}
-	key := store.Triple{S: s, P: pid, O: o}
-	e.constMu.Lock()
-	found, cached := e.constSeen[key]
-	e.constMu.Unlock()
-	if cached {
-		return found
-	}
-	found = false
 	if rel := e.part.shards[ShardOf(s, len(e.engs))].Relation(pid); rel != nil {
 		for i := range rel.S {
 			if rel.S[i] == s && rel.O[i] == o {
-				found = true
-				break
+				return true
 			}
 		}
 	}
-	e.constMu.Lock()
-	if len(e.constSeen) >= constSeenCap {
-		// Evict one arbitrary entry. A full reset here would forget every
-		// memoized pattern at once and rescan them all on their next
-		// appearance; single-entry eviction caps the damage at one rescan
-		// per newly inserted pattern.
-		for k := range e.constSeen {
-			delete(e.constSeen, k)
-			break
-		}
-	}
-	e.constSeen[key] = found
-	e.constMu.Unlock()
-	return found
+	return false
 }
 
 // group is one root-covered unit of scatter-gather: the root node appears
@@ -311,20 +251,20 @@ func (c *countCursor) Next() ([]uint32, error) {
 // openSingle executes a query fully covered by one root group, per its
 // compiled plan.
 func (e *Engine) openSingle(sp *singlePlan, opts engine.ExecOpts) (engine.Cursor, error) {
-	if sp.constant {
-		// Constant root: every solution's triples contain it, so its owner
-		// shard alone answers the query — route instead of scattering, and
-		// pass caps straight through (no filtering happens above it).
+	if sp.routed {
+		// One shard answers the whole query (a constant root's owner, or
+		// the only shard there is): route instead of scattering, and pass
+		// caps straight through (no filtering happens above it).
 		sh := sp.shards[0]
 		if e.remote != nil {
 			// Remote route: push the cap hint down (unsafe under DISTINCT)
 			// and apply Offset/MaxRows exactly at the coordinator.
 			capHint := 0
-			if opts.MaxRows > 0 && !sp.sub.Distinct {
+			if opts.MaxRows > 0 && !sp.sub.bgp.Distinct {
 				capHint = opts.Offset + opts.MaxRows + 1
 			}
 			cur, err := e.openShard(opts.Ctx, sh, sp.sub, RemoteHints{
-				Owner: -1, Cap: capHint, SinglePattern: len(sp.sub.Patterns) == 1,
+				Owner: -1, Cap: capHint, SinglePattern: len(sp.sub.bgp.Patterns) == 1,
 			})
 			if err != nil {
 				return nil, err
@@ -335,14 +275,14 @@ func (e *Engine) openSingle(sp *singlePlan, opts engine.ExecOpts) (engine.Cursor
 			}
 			return engine.Limit(cur, opts.Offset, opts.MaxRows), nil
 		}
-		cur, err := e.engs[sh].Open(sp.sub, opts)
+		cur, err := engine.OpenCompiled(e.engs[sh], sp.sub.plans[sh], opts)
 		return e.counting(sh, cur, err)
 	}
 
 	n := len(e.engs)
-	outVars := sp.sub.Select
+	outVars := sp.sub.bgp.Select
 	if sp.strip {
-		outVars = sp.sub.Select[:len(sp.sub.Select)-1]
+		outVars = outVars[:len(outVars)-1]
 	}
 
 	// Per-shard row-cap hint: after the ownership filter each shard can
@@ -351,7 +291,7 @@ func (e *Engine) openSingle(sp *singlePlan, opts engine.ExecOpts) (engine.Cursor
 	// row. Unsafe under DISTINCT (capped shard rows may collapse after the
 	// root column is stripped), so no hint is pushed there.
 	perShardCap := 0
-	if opts.MaxRows > 0 && !sp.sub.Distinct {
+	if opts.MaxRows > 0 && !sp.sub.bgp.Distinct {
 		perShardCap = opts.Offset + opts.MaxRows + 1
 	}
 
@@ -368,7 +308,7 @@ func (e *Engine) openSingle(sp *singlePlan, opts engine.ExecOpts) (engine.Cursor
 	} else {
 		cur = e.gather(opts.Ctx, outVars, sp.sub, sp.shards, keep, sp.strip, perShardCap, sp.rootIdx, opts.Workers)
 	}
-	if sp.sub.Distinct {
+	if sp.sub.bgp.Distinct {
 		cur = newDedup(cur)
 	}
 	return engine.Limit(cur, opts.Offset, opts.MaxRows), nil
@@ -383,7 +323,7 @@ func (e *Engine) openGroup(ctx context.Context, gp groupPlan, workers int) (engi
 	if gp.rootIdx < 0 {
 		// Constant root: the owner shard alone answers the group.
 		sh := gp.shards[0]
-		cur, err := e.openShard(ctx, sh, gp.sub, RemoteHints{Owner: -1, Workers: workers, SinglePattern: len(gp.sub.Patterns) == 1})
+		cur, err := e.openShard(ctx, sh, gp.sub, RemoteHints{Owner: -1, Workers: workers, SinglePattern: len(gp.sub.bgp.Patterns) == 1})
 		return e.counting(sh, cur, err)
 	}
 	keep := func(sh int, row []uint32) bool { return ShardOf(row[gp.rootIdx], n) == sh }
@@ -417,17 +357,17 @@ var errJoinCap = errors.New("shard: join output cap reached")
 // the same trade the pairwise engines make for their join intermediates.
 // Streaming both sides would need a distributed semi-join phase; see the
 // ROADMAP's shard-aware planning follow-up.
-func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (engine.Cursor, error) {
+func (e *Engine) openJoin(jp *joinPlan, opts engine.ExecOpts) (engine.Cursor, error) {
 	// Output cap: the merge-level Limit stops at Offset+MaxRows plus one
 	// exactness-probe row, so the producer — and through its context every
 	// shard drain under it — can stop as soon as that many rows exist.
 	// Unsafe under DISTINCT (deduplication may collapse capped rows).
 	capRows := 0
-	if opts.MaxRows > 0 && !q.Distinct {
+	if opts.MaxRows > 0 && !jp.distinct {
 		capRows = opts.Offset + opts.MaxRows + 1
 	}
 
-	raw := engine.NewGenerator(opts.Ctx, q.Select, func(gctx context.Context, emit func([]uint32) error) error {
+	raw := engine.NewGenerator(opts.Ctx, jp.vars, func(gctx context.Context, emit func([]uint32) error) error {
 		// Build phase: materialize every non-probe group, each on its own
 		// goroutine — the groups' scatter work is independent, so running
 		// them back to back would serialize exactly the per-shard execution
@@ -552,7 +492,7 @@ func (e *Engine) openJoin(q *query.BGP, jp *joinPlan, opts engine.ExecOpts) (eng
 		}
 	})
 	cur := raw
-	if q.Distinct {
+	if jp.distinct {
 		cur = newDedup(cur)
 	}
 	return engine.Limit(cur, opts.Offset, opts.MaxRows), nil

@@ -3,13 +3,13 @@ package shard
 import (
 	"sort"
 
-	"repro/internal/query"
+	"repro/internal/engine"
 )
 
 // explain.go is the EXPLAIN surface of the scatter planner: a serializable
 // summary of the compiled plan — decomposition, per-group scatter targets
 // and pruned shards, probe-side choice — built once at compile time and
-// retained on the cached plan, so explaining a query costs one plan-cache
+// retained on the plan, so explaining a cached query costs one plan-cache
 // lookup and never re-plans or executes anything.
 
 // ExplainGroup describes one root-covered group of a scatter plan.
@@ -76,15 +76,12 @@ func unionShards(groups []ExplainGroup, pruned bool) []int {
 	return out
 }
 
-// Explain returns the compiled scatter plan's summary for q, planning (and
-// caching the plan) on a cache miss. It never opens a cursor: the summary is
-// assembled entirely at plan time.
-func (e *Engine) Explain(q *query.BGP) (*ExplainPlan, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+// Explain returns a scatter plan's summary, or nil when p is not a plan
+// this package compiled. It never opens a cursor: the summary is assembled
+// entirely at plan time.
+func Explain(p engine.Plan) *ExplainPlan {
+	if qp, ok := p.(*queryPlan); ok {
+		return qp.explain
 	}
-	if len(e.engs) == 1 {
-		return &ExplainPlan{Kind: "passthrough", Shards: 1}, nil
-	}
-	return e.planFor(q).explain, nil
+	return nil
 }

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/query"
 )
 
 // drainSpan starts one per-shard drain span under the trace span carried by
@@ -57,7 +56,7 @@ type openFunc func(context.Context) (engine.Cursor, error)
 
 // gather is the Engine's scatter entry point: it opens sub on every
 // surviving shard and returns the merged union cursor.
-func (e *Engine) gather(ctx context.Context, vars []string, sub *query.BGP, shards []int, keep func(shard int, row []uint32) bool, strip bool, perShardCap int, rootIdx int, workers int) engine.Cursor {
+func (e *Engine) gather(ctx context.Context, vars []string, sub *subQuery, shards []int, keep func(shard int, row []uint32) bool, strip bool, perShardCap int, rootIdx int, workers int) engine.Cursor {
 	opens := make([]openFunc, len(shards))
 	for i, sh := range shards {
 		sh := sh

@@ -1,9 +1,8 @@
 package shard
 
-// White-box tests for the statistics-pruned scatter planner: the constSeen
-// memo's eviction policy, deterministic pruning of shards that provably
-// cannot contribute (absent predicates, missing constants, empty owner
-// shards), and a randomized property test proving pruned and unpruned
+// White-box tests for the statistics-pruned scatter planner: deterministic
+// pruning of shards that provably cannot contribute (absent predicates,
+// missing constants, empty owner shards), and a randomized property test proving pruned and unpruned
 // scatter agree — the two engines share one Partitioned, so the oracle runs
 // over the exact partition the pruned engine plans against.
 
@@ -34,57 +33,6 @@ func naiveSharded(t *testing.T, st *store.Store, n int) (*Partitioned, *Engine) 
 		t.Fatal(err)
 	}
 	return p, e
-}
-
-// TestConstSeenEvictionKeepsMemo is the regression test for the memo
-// eviction fix: at capacity, inserting a new constant-pattern result must
-// evict exactly one entry, not drop the whole map (the old behaviour, which
-// made every memoized pattern rescan its relation at once).
-func TestConstSeenEvictionKeepsMemo(t *testing.T) {
-	b := store.NewBuilder()
-	s := rdf.NewIRI("http://e/s")
-	p := rdf.NewIRI("http://e/p")
-	o := rdf.NewIRI("http://e/o")
-	b.Add(rdf.Triple{S: s, P: p, O: o})
-	_, e := naiveSharded(t, b.Build(), 2)
-
-	// Fill the memo to capacity with synthetic keys (ids far above the
-	// dictionary's range, so the real pattern below cannot collide).
-	for i := 0; i < constSeenCap; i++ {
-		e.constSeen[store.Triple{S: uint32(1<<24 + i), P: 1, O: 2}] = false
-	}
-
-	pat := query.Pattern{
-		S: query.Node{Term: s},
-		P: query.Node{Term: p},
-		O: query.Node{Term: o},
-	}
-	if !e.hasTriple(pat) {
-		t.Fatal("existing triple not found")
-	}
-	if got := len(e.constSeen); got != constSeenCap {
-		t.Fatalf("memo size after insert-at-capacity = %d, want %d (single-entry eviction, not a reset)", got, constSeenCap)
-	}
-	// The fresh result itself is memoized and stable across eviction churn.
-	if !e.hasTriple(pat) {
-		t.Fatal("memoized triple lookup flipped to false")
-	}
-	if got := len(e.constSeen); got != constSeenCap {
-		t.Fatalf("memo size after hit = %d, want %d", got, constSeenCap)
-	}
-
-	// A miss is memoized too (false entries are results, not absences).
-	absent := query.Pattern{
-		S: query.Node{Term: o},
-		P: query.Node{Term: p},
-		O: query.Node{Term: s},
-	}
-	if e.hasTriple(absent) {
-		t.Fatal("absent triple reported present")
-	}
-	if got := len(e.constSeen); got != constSeenCap {
-		t.Fatalf("memo size after miss insert = %d, want %d", got, constSeenCap)
-	}
 }
 
 // pruneStore holds a common predicate on every subject and a rare predicate

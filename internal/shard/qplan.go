@@ -1,33 +1,27 @@
 package shard
 
-// qplan.go is the scatter planner: it turns a BGP into a cached, reusable
-// scatter plan — the root-group decomposition, per-group statistics-pruned
-// shard target lists, cardinality estimates for the merge join's probe-side
-// choice, and the interned per-shard sub-queries. Interning matters beyond
-// avoiding re-decomposition: downstream engines cache their own compiled
-// plans per *query.BGP pointer (core's GHD plans, the auto router's class
-// decisions), so handing every shard the same sub-query pointer on every
-// execution turns a sharded cache hit into "skip all per-shard planning",
-// not just "skip parse+normalize". The cache lives on the Engine, which the
-// live layer rebuilds on every epoch swap — plans can never outlive the
-// statistics they were pruned against.
+// qplan.go is the scatter planner: it turns a BGP into a reusable scatter
+// plan — the root-group decomposition, per-group statistics-pruned shard
+// target lists, cardinality estimates for the merge join's probe-side
+// choice, and every sub-query compiled once for the shards it targets. The
+// plan depends only on the immutable partition and the query; the engine
+// keeps none of it. Callers that repeat queries keep the plan (the live
+// layer's plan cache does, keyed by epoch, so a plan never outlives the
+// statistics it was pruned against).
 
 import (
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
 
-// planCacheCap bounds the scatter-plan cache. When full, one arbitrary
-// entry is evicted (map iteration order), so an adversarial query stream
-// degrades to one recompute per new query instead of periodically dumping
-// the whole working set.
-const planCacheCap = 1 << 12
-
 // queryPlan is one compiled scatter plan. Exactly one of single/join is set
 // unless empty is.
 type queryPlan struct {
+	// vars is the caller's projection (the empty result's columns).
+	vars []string
 	// empty marks queries statically proven empty: a fully-constant pattern
 	// absent from the data, a constant missing from the dictionary, or a
 	// group whose every shard was pruned.
@@ -35,32 +29,60 @@ type queryPlan struct {
 	single *singlePlan
 	join   *joinPlan
 	// explain is the plan's serializable summary, assembled at compile time
-	// (see explain.go); execution never reads it.
+	// (see explain.go).
 	explain *ExplainPlan
+}
+
+// subQuery is one sub-query of a scatter plan, compiled once for the
+// shards it targets: in process, each target shard engine's own plan;
+// across the process boundary, its wire text.
+type subQuery struct {
+	bgp   *query.BGP
+	plans []engine.Plan // indexed by shard; nil for untargeted shards or when remote
+	text  string        // rendered only when remote
+}
+
+// compileSub compiles sub for the target shards.
+func (e *Engine) compileSub(sub *subQuery, shards []int) error {
+	if e.remote != nil {
+		sub.text = sub.bgp.String()
+		return nil
+	}
+	sub.plans = make([]engine.Plan, len(e.engs))
+	for _, sh := range shards {
+		p, err := engine.Compile(e.engs[sh], sub.bgp)
+		if err != nil {
+			return err
+		}
+		sub.plans[sh] = p
+	}
+	return nil
 }
 
 // singlePlan executes a query fully covered by one root group.
 type singlePlan struct {
-	// sub is the interned sub-query every target shard runs: the caller's
-	// projection with the root variable appended when it was not selected
-	// (strip), DISTINCT preserved.
-	sub *query.BGP
-	// shards lists the scatter targets that survived pruning; for a
-	// constant root it is exactly the owner shard.
+	// sub is the sub-query every target shard runs: the caller's projection
+	// with the root variable appended when it was not selected (strip),
+	// DISTINCT preserved.
+	sub *subQuery
+	// shards lists the scatter targets that survived pruning; for a routed
+	// plan it is exactly the one shard that answers the query.
 	shards []int
-	// rootIdx locates the root variable in sub.Select (variable roots).
+	// rootIdx locates the root variable in sub's projection (variable
+	// roots).
 	rootIdx int
 	strip   bool
-	// constant marks a constant root: the owner shard alone answers the
-	// query, no ownership filter or merge is needed, and caps pass through.
-	constant bool
+	// routed marks a query one shard answers alone (a constant root's
+	// owner, or the only shard of a one-shard partition): no ownership
+	// filter or merge is needed, and caps pass through.
+	routed bool
 }
 
 // groupPlan is one root-covered group inside a multi-group (join) plan.
 type groupPlan struct {
-	// sub is the interned full-projection sub-query (all group variables,
-	// no DISTINCT — group solutions are sets at full projection).
-	sub  *query.BGP
+	// sub is the full-projection sub-query (all group variables, no
+	// DISTINCT — group solutions are sets at full projection).
+	sub  *subQuery
 	vars []string
 	// rootIdx locates the root in vars; -1 marks a constant root.
 	rootIdx int
@@ -81,17 +103,19 @@ type joinPlan struct {
 	// builds[i] wires groups[i+1] into the left-deep join.
 	builds []buildWire
 	// selIx maps the accumulated row to the caller's projection.
-	selIx []int
+	selIx    []int
+	vars     []string
+	distinct bool
 
 	// Materialized build sides, memoized after the first execution: the
-	// partition is immutable and the live layer rebuilds the whole Engine
-	// (and with it this plan cache) on every epoch swap, so a build group's
-	// solution set can never change under a cached plan. Re-executions of a
-	// repeated query then pay only the probe stream and the expansion —
-	// the broadcast side ships once, exactly like a distributed engine
-	// caching its broadcast relations at the coordinator. Guarded by mu;
-	// tabs stays nil until a build completes successfully (a cancelled or
-	// failed build is not cached) or the tables exceed buildCacheMaxRows.
+	// partition is immutable and a plan is valid for one epoch only, so a
+	// build group's solution set can never change under a cached plan.
+	// Re-executions of a repeated query then pay only the probe stream and
+	// the expansion — the broadcast side ships once, exactly like a
+	// distributed engine caching its broadcast relations at the
+	// coordinator. Guarded by mu; tabs stays nil until a build completes
+	// successfully (a cancelled or failed build is not cached) or the
+	// tables exceed buildCacheMaxRows.
 	mu   sync.Mutex
 	tabs []buildTable
 }
@@ -174,41 +198,33 @@ type buildWire struct {
 	appendIx []int
 }
 
-// planFor resolves q's scatter plan, compiling and caching on miss. Cached
-// plans depend only on the immutable partition and the query, so they are
-// valid for the Engine's lifetime (one epoch).
-func (e *Engine) planFor(q *query.BGP) *queryPlan {
-	e.planMu.Lock()
-	qp, ok := e.qplans[q]
-	e.planMu.Unlock()
-	if ok {
-		e.part.planReuseHits.Add(1)
-		return qp
+// Plan implements engine.Planner: it compiles q's scatter plan.
+func (e *Engine) Plan(q *query.BGP) (engine.Plan, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
 	}
-	qp = e.compile(q)
-	e.planMu.Lock()
-	if len(e.qplans) >= planCacheCap {
-		for k := range e.qplans {
-			delete(e.qplans, k)
-			break
+	if len(e.engs) == 1 {
+		// One shard is the whole dataset: pass straight through.
+		sp := &singlePlan{sub: &subQuery{bgp: q}, shards: []int{0}, routed: true}
+		if err := e.compileSub(sp.sub, sp.shards); err != nil {
+			return nil, err
 		}
+		return &queryPlan{vars: q.Select, single: sp, explain: &ExplainPlan{Kind: "passthrough", Shards: 1}}, nil
 	}
-	e.qplans[q] = qp
-	e.planMu.Unlock()
-	return qp
+	return e.compile(q)
 }
 
 // compile builds the scatter plan: verify constant patterns, decompose into
 // root groups, prune and estimate each group's shard targets, and pick the
 // probe side for multi-group joins.
-func (e *Engine) compile(q *query.BGP) *queryPlan {
+func (e *Engine) compile(q *query.BGP) (*queryPlan, error) {
 	n := len(e.engs)
 	exp := &ExplainPlan{Shards: n}
 	rest, ok := e.splitConstant(q.Patterns)
 	if !ok {
 		exp.Kind = "empty"
 		e.part.prunedPerQuery.Observe(0)
-		return &queryPlan{empty: true, explain: exp}
+		return &queryPlan{vars: q.Select, empty: true, explain: exp}, nil
 	}
 	groups := decompose(rest)
 	e.part.plansCompiled.Add(1)
@@ -233,19 +249,28 @@ func (e *Engine) compile(q *query.BGP) *queryPlan {
 		if !ok {
 			record()
 			exp.Kind = "empty"
-			return &queryPlan{empty: true, explain: exp}
+			return &queryPlan{vars: q.Select, empty: true, explain: exp}, nil
 		}
 		gps[i] = gp
 	}
 	record()
 	if len(groups) == 1 {
 		exp.Kind = "single"
-		return &queryPlan{single: planSingle(q, groups[0], gps[0]), explain: exp}
+		sp := planSingle(q, groups[0], gps[0])
+		if err := e.compileSub(sp.sub, sp.shards); err != nil {
+			return nil, err
+		}
+		return &queryPlan{vars: q.Select, single: sp, explain: exp}, nil
 	}
 	jp, probe := planJoin(q, gps)
+	for _, gp := range jp.groups {
+		if err := e.compileSub(gp.sub, gp.shards); err != nil {
+			return nil, err
+		}
+	}
 	exp.Kind = "join"
 	exp.Probe = probe
-	return &queryPlan{join: jp, explain: exp}
+	return &queryPlan{vars: q.Select, join: jp, explain: exp}, nil
 }
 
 // planGroup resolves one group's shard targets and cardinality estimate;
@@ -266,7 +291,7 @@ func (e *Engine) compile(q *query.BGP) *queryPlan {
 func (e *Engine) planGroup(g group) (groupPlan, bool) {
 	n := len(e.engs)
 	gp := groupPlan{vars: g.vars(), rootIdx: -1}
-	gp.sub = &query.BGP{Select: gp.vars, Patterns: g.pats}
+	gp.sub = &subQuery{bgp: &query.BGP{Select: gp.vars, Patterns: g.pats}}
 
 	if !g.root.IsVar {
 		id, ok := e.part.dict.Lookup(g.root.Term)
@@ -274,7 +299,7 @@ func (e *Engine) planGroup(g group) (groupPlan, bool) {
 			return gp, false
 		}
 		own := ShardOf(id, n)
-		prof, err := plan.ProfileQuery(gp.sub, e.part.shards[own])
+		prof, err := plan.ProfileQuery(gp.sub.bgp, e.part.shards[own])
 		if err == nil {
 			if prof.Empty && !e.noPrune {
 				// Every solution of a constant-rooted group lives on the
@@ -297,7 +322,7 @@ func (e *Engine) planGroup(g group) (groupPlan, bool) {
 	for sh := 0; sh < n; sh++ {
 		st := e.part.shards[sh]
 		cannotMatch := st.NumTriples() == 0
-		if prof, err := plan.ProfileQuery(gp.sub, st); err == nil {
+		if prof, err := plan.ProfileQuery(gp.sub.bgp, st); err == nil {
 			cannotMatch = cannotMatch || prof.Empty
 			gp.est += prof.EstOut
 		}
@@ -316,9 +341,9 @@ func (e *Engine) planGroup(g group) (groupPlan, bool) {
 func planSingle(q *query.BGP, g group, gp groupPlan) *singlePlan {
 	if !g.root.IsVar {
 		return &singlePlan{
-			sub:      &query.BGP{Select: q.Select, Distinct: q.Distinct, Patterns: g.pats},
-			shards:   gp.shards,
-			constant: true,
+			sub:    &subQuery{bgp: &query.BGP{Select: q.Select, Distinct: q.Distinct, Patterns: g.pats}},
+			shards: gp.shards,
+			routed: true,
 		}
 	}
 	sel := q.Select
@@ -339,7 +364,7 @@ func planSingle(q *query.BGP, g group, gp groupPlan) *singlePlan {
 		strip = true
 	}
 	return &singlePlan{
-		sub:     &query.BGP{Select: sel, Distinct: q.Distinct, Patterns: g.pats},
+		sub:     &subQuery{bgp: &query.BGP{Select: sel, Distinct: q.Distinct, Patterns: g.pats}},
 		shards:  gp.shards,
 		rootIdx: rootIdx,
 		strip:   strip,
@@ -383,7 +408,7 @@ func planJoin(q *query.BGP, gps []groupPlan) (*joinPlan, int) {
 		}
 	}
 
-	jp := &joinPlan{groups: ordered}
+	jp := &joinPlan{groups: ordered, vars: q.Select, distinct: q.Distinct}
 	acc := append([]string(nil), ordered[0].vars...)
 	accPos := map[string]int{}
 	for i, v := range acc {

@@ -41,36 +41,35 @@ type RemoteHints struct {
 }
 
 // RemoteOpener opens one shard's sub-query on whatever process holds that
-// shard. Implementations own transport, retries, hedging, and failover; the
+// shard. text is the sub-query's wire text, rendered once on the scatter
+// plan. Implementations own transport, retries, hedging, and failover; the
 // returned cursor must behave like any engine.Cursor (rows until io.EOF,
 // Close idempotent and cancelling any in-flight work).
 type RemoteOpener interface {
-	OpenShard(ctx context.Context, shard int, sub *query.BGP, h RemoteHints) (engine.Cursor, error)
+	OpenShard(ctx context.Context, shard int, sub *query.BGP, text string, h RemoteHints) (engine.Cursor, error)
 }
 
-// SetRemote installs (or, with nil, removes) the remote opener. Call before
-// serving; the engine does not synchronize the swap against in-flight opens.
+// SetRemote installs the remote opener. Call before the first Plan: plans
+// compiled with an opener installed carry wire texts instead of per-shard
+// plans.
 func (e *Engine) SetRemote(r RemoteOpener) { e.remote = r }
 
-// Remote reports the installed opener (nil when scatter is in-process).
-func (e *Engine) Remote() RemoteOpener { return e.remote }
-
 // drainHints builds the hints for an ownership-filtered shard drain.
-func (e *Engine) drainHints(sh int, sub *query.BGP, rootIdx, perShardCap, workers int) RemoteHints {
+func (e *Engine) drainHints(sh int, sub *subQuery, rootIdx, perShardCap, workers int) RemoteHints {
 	return RemoteHints{
 		Owner:         sh,
 		RootIdx:       rootIdx,
 		Cap:           perShardCap,
 		Workers:       workers,
-		SinglePattern: len(sub.Patterns) == 1,
+		SinglePattern: len(sub.bgp.Patterns) == 1,
 	}
 }
 
 // openShard opens one shard's sub-query through the remote seam when one is
 // installed, else on the in-process shard engine.
-func (e *Engine) openShard(ctx context.Context, sh int, sub *query.BGP, h RemoteHints) (engine.Cursor, error) {
+func (e *Engine) openShard(ctx context.Context, sh int, sub *subQuery, h RemoteHints) (engine.Cursor, error) {
 	if e.remote != nil {
-		return e.remote.OpenShard(ctx, sh, sub, h)
+		return e.remote.OpenShard(ctx, sh, sub.bgp, sub.text, h)
 	}
-	return e.engs[sh].Open(sub, engine.ExecOpts{Ctx: ctx, Workers: h.Workers})
+	return engine.OpenCompiled(e.engs[sh], sub.plans[sh], engine.ExecOpts{Ctx: ctx, Workers: h.Workers})
 }

@@ -83,8 +83,8 @@ type Partitioned struct {
 	// benches, never in production.
 	shardsPruned  atomic.Int64 // (group, shard) scatter targets skipped by statistics
 	groupsPlanned atomic.Int64 // root-covered groups compiled
-	planReuseHits atomic.Int64 // Opens served from a cached scatter plan
-	plansCompiled atomic.Int64 // scatter plans compiled (cache misses)
+	planReuseHits atomic.Int64 // executions served from a plan-cache entry's scatter plan
+	plansCompiled atomic.Int64 // scatter plans compiled
 
 	// batchRows distributes the merge transport's flushed batch sizes
 	// (observed once per batch, not per row — the drain hot loop stays
@@ -162,13 +162,17 @@ type PlanStats struct {
 	ShardsPruned int64
 	// GroupsPlanned counts root-covered groups compiled into scatter plans.
 	GroupsPlanned int64
-	// PlanReuseHits counts Opens answered from a cached scatter plan (the
-	// decomposition, pruning, probe choice, and per-shard sub-queries are
-	// all reused, so downstream engine plan caches hit too).
+	// PlanReuseHits counts executions served from the plan cache's scatter
+	// plans (the decomposition, pruning, probe choice, and per-shard
+	// sub-plans are all reused).
 	PlanReuseHits int64
-	// PlansCompiled counts scatter-plan cache misses.
+	// PlansCompiled counts scatter plans compiled, into the plan cache or
+	// by direct engine use.
 	PlansCompiled int64
 }
+
+// NotePlanReuse counts one execution served from a cached scatter plan.
+func (p *Partitioned) NotePlanReuse() { p.planReuseHits.Add(1) }
 
 // PlanStats snapshots the scatter-planning counters.
 func (p *Partitioned) PlanStats() PlanStats {

@@ -9,9 +9,9 @@
 // The package has two halves. Level is the per-trie-level histogram
 // (cardinality distribution, density, skew) that the layout and cost
 // decisions read. Chooser is the process-wide decision ledger — how often
-// the adaptive layout disagreed with the paper's static 1-in-256 rule,
-// which engines the auto router picked, and how often the cost model's
-// cached decisions were reused — surfaced by the server's /stats endpoint.
+// the adaptive layout disagreed with the paper's static 1-in-256 rule, and
+// which engines the auto router picked — surfaced by the server's /stats
+// endpoint.
 package stats
 
 import (
@@ -108,8 +108,6 @@ type Chooser struct {
 	layoutBitset atomic.Uint64
 	layoutUint   atomic.Uint64
 	layoutFlips  atomic.Uint64
-	costLookups  atomic.Uint64
-	costHits     atomic.Uint64
 
 	mu    sync.Mutex
 	picks map[string]uint64
@@ -136,14 +134,6 @@ func (c *Chooser) RecordEnginePick(engine string) {
 	c.mu.Unlock()
 }
 
-// RecordCostLookup notes one consultation of a cached cost-model decision.
-func (c *Chooser) RecordCostLookup(hit bool) {
-	c.costLookups.Add(1)
-	if hit {
-		c.costHits.Add(1)
-	}
-}
-
 // ChooserSnapshot is a point-in-time copy of the ledger, shaped for the
 // server's /stats JSON.
 type ChooserSnapshot struct {
@@ -151,9 +141,6 @@ type ChooserSnapshot struct {
 	LayoutUintNodes   uint64            `json:"layout_uint_nodes"`
 	LayoutFlips       uint64            `json:"layout_flips"`
 	EnginePicks       map[string]uint64 `json:"engine_picks"`
-	CostLookups       uint64            `json:"cost_lookups"`
-	CostHits          uint64            `json:"cost_hits"`
-	CostHitRate       float64           `json:"cost_model_hit_rate"`
 }
 
 // Snapshot copies the ledger.
@@ -162,8 +149,6 @@ func (c *Chooser) Snapshot() ChooserSnapshot {
 		LayoutBitsetNodes: c.layoutBitset.Load(),
 		LayoutUintNodes:   c.layoutUint.Load(),
 		LayoutFlips:       c.layoutFlips.Load(),
-		CostLookups:       c.costLookups.Load(),
-		CostHits:          c.costHits.Load(),
 		EnginePicks:       map[string]uint64{},
 	}
 	c.mu.Lock()
@@ -171,8 +156,5 @@ func (c *Chooser) Snapshot() ChooserSnapshot {
 		s.EnginePicks[k] = v
 	}
 	c.mu.Unlock()
-	if s.CostLookups > 0 {
-		s.CostHitRate = float64(s.CostHits) / float64(s.CostLookups)
-	}
 	return s
 }

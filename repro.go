@@ -265,7 +265,9 @@ func NewNaive(d *Dataset) Engine { return naive.New(d.ls.Base()) }
 // is the programmatic form of cmd/rdfq's and the query server's -engine
 // selection. The engine is live: it observes Insert/Delete/Compact, and on
 // a partitioned dataset it executes by scatter-gather over per-shard
-// instances (rebuilt per compaction epoch).
+// instances (rebuilt per compaction epoch). It compiles each distinct query
+// text once, through the dataset's plan cache; the engines returned by the
+// New* constructors above compile on every Open.
 func NewEngineByName(d *Dataset, name string) (Engine, error) {
 	return engines.NewLive(name, d.ls)
 }

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -258,5 +259,42 @@ func TestDatasetLiveUpdates(t *testing.T) {
 	}
 	if len(rows.Records) != 1 {
 		t.Fatalf("chain rows after delete = %d, want 1 (b→c→d)", len(rows.Records))
+	}
+}
+
+// TestQueryRepeatedTextHeapBounded: repro.Query parses on every call, so
+// repeating one text hands the engine a fresh query each time. Neither a
+// raw engine nor a registry (live) engine may keep per-parse state.
+func TestQueryRepeatedTextHeapBounded(t *testing.T) {
+	ds := repro.GenerateLUBM(1, 0)
+	text := repro.LUBMQuery(7, 1)
+	live, err := repro.NewEngineByName(ds, "emptyheaded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []repro.Engine{repro.NewEmptyHeaded(ds, repro.AllOptimizations), live} {
+		query := func() {
+			if _, err := repro.Query(e, ds, text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 100 {
+			query()
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		const calls = 2000
+		for range calls {
+			query()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perCall := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / calls
+		t.Logf("%T: %.1f bytes per call", e, perCall)
+		if perCall > 128 {
+			t.Fatalf("%T: heap grew %.0f bytes per repeated repro.Query call, want bounded", e, perCall)
+		}
+		runtime.KeepAlive(e)
 	}
 }
