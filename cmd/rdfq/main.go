@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -162,6 +163,10 @@ func main() {
 	}
 	defer cur.Close()
 	dict := ds.Store().Dict()
+	// Rows go out through one buffered writer: each row's N-Triples cells
+	// are appended into its free space, and stdout sees a write per
+	// buffer, not one per term. It is flushed on every exit path.
+	out := bufio.NewWriter(os.Stdout)
 	total := 0
 	for {
 		row, err := cur.Next()
@@ -169,22 +174,27 @@ func main() {
 			break
 		}
 		if err != nil {
+			out.Flush()
 			log.Fatalf("rdfq: %v (after %d rows)", err, total)
 		}
 		total++
 		execSp.AddRows(1)
+		line := out.AvailableBuffer()
 		for j, id := range row {
 			if j > 0 {
-				fmt.Print("\t")
+				line = append(line, '\t')
 			}
-			fmt.Print(dict.Decode(id))
+			line = dict.Decode(id).AppendNT(line)
 		}
-		fmt.Println()
+		out.Write(append(line, '\n'))
 	}
 	if cur.Truncated() {
-		fmt.Printf("%d rows (truncated by the row cap; more exist)\n", total)
+		fmt.Fprintf(out, "%d rows (truncated by the row cap; more exist)\n", total)
 	} else {
-		fmt.Printf("%d rows\n", total)
+		fmt.Fprintf(out, "%d rows\n", total)
+	}
+	if err := out.Flush(); err != nil {
+		log.Fatalf("rdfq: writing results: %v", err)
 	}
 	if tr != nil {
 		execSp.End()

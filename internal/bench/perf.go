@@ -360,8 +360,8 @@ func coldStart(st *store.Store, cfg Config) ([]PerfResult, error) {
 	bw := bufio.NewWriterSize(f, 1<<20)
 	d := st.Dict()
 	for _, t := range st.Triples() {
-		bw.WriteString(rdf.Triple{S: d.Decode(t.S), P: d.Decode(t.P), O: d.Decode(t.O)}.String())
-		bw.WriteByte('\n')
+		line := rdf.Triple{S: d.Decode(t.S), P: d.Decode(t.P), O: d.Decode(t.O)}.AppendNT(bw.AvailableBuffer())
+		bw.Write(append(line, '\n'))
 	}
 	if err := bw.Flush(); err != nil {
 		f.Close()

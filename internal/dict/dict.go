@@ -92,6 +92,18 @@ func (d *Dictionary) Decode(id ID) rdf.Term {
 	return d.terms[id]
 }
 
+// Terms returns a read-only view of the term table: Terms()[id] is the term
+// for every id assigned before the call. The view is clipped to its length,
+// so appending to it cannot reach the table, and it never changes: Encode
+// only writes past the end of any view already handed out. Callers that
+// decode many ids take one view and re-take it only for an id at or past
+// its length, instead of paying Decode's read lock per id.
+func (d *Dictionary) Terms() []rdf.Term {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.terms[:len(d.terms):len(d.terms)]
+}
+
 // Size returns the number of distinct terms registered.
 func (d *Dictionary) Size() int {
 	d.mu.RLock()

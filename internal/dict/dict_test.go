@@ -2,6 +2,9 @@ package dict
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -93,6 +96,85 @@ func TestDecodePanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	New().Decode(7)
+}
+
+func TestTermsView(t *testing.T) {
+	d := New()
+	for _, v := range []string{"http://a", "http://b", "http://c"} {
+		d.Encode(rdf.NewIRI(v))
+	}
+	view := d.Terms()
+	if len(view) != 3 || view[2] != rdf.NewIRI("http://c") {
+		t.Fatalf("view = %v", view)
+	}
+	// The table has spare capacity now; appending to the old view after
+	// the next Encode must not overwrite that Encode's term.
+	late := d.Encode(rdf.NewIRI("http://late"))
+	_ = append(view, rdf.NewIRI("http://bogus"))
+	if got := d.Decode(late); got != rdf.NewIRI("http://late") {
+		t.Fatalf("Decode(%d) = %v after appending to a view", late, got)
+	}
+	if len(view) != 3 {
+		t.Fatalf("old view grew to %d", len(view))
+	}
+	if v := d.Terms(); len(v) != 4 || v[late] != rdf.NewIRI("http://late") {
+		t.Fatalf("fresh view = %v", v)
+	}
+}
+
+// TestTermsViewConcurrentEncode decodes through views while one goroutine
+// keeps encoding new terms (run it under -race). A reader whose view is
+// too short for a published id re-takes it and must then find the new
+// term; readers go through at least one such refresh.
+func TestTermsViewConcurrentEncode(t *testing.T) {
+	const n, readers = 5000, 4
+	term := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/t%d", i)) }
+	d := New()
+	var published atomic.Int64 // ids below this are assigned
+	var wg sync.WaitGroup
+	refreshes := make([]int, readers)
+	for r := 0; r < readers; r++ {
+		view := d.Terms() // taken before any Encode, so it starts stale
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for id := 0; id < n; {
+				if int64(id) >= published.Load() {
+					runtime.Gosched() // wait for the writer to publish id
+					continue
+				}
+				if id >= len(view) {
+					view = d.Terms()
+					refreshes[r]++
+					if id >= len(view) {
+						t.Errorf("reader %d: id %d published but view has %d terms", r, id, len(view))
+						return
+					}
+				}
+				if view[id] != term(id) {
+					t.Errorf("reader %d: view[%d] = %v, want %v", r, id, view[id], term(id))
+					return
+				}
+				id++
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			if id := d.Encode(term(i)); int(id) != i {
+				t.Errorf("Encode(term %d) = %d", i, id)
+			}
+			published.Store(int64(i + 1))
+		}
+	}()
+	wg.Wait()
+	for r, c := range refreshes {
+		if c == 0 {
+			t.Errorf("reader %d never refreshed a stale view", r)
+		}
+	}
 }
 
 func TestEncodeTriple(t *testing.T) {

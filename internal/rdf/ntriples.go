@@ -336,10 +336,8 @@ func NewWriter(w io.Writer) *Writer {
 
 // Write emits one triple as a single N-Triples line.
 func (w *Writer) Write(t Triple) error {
-	if _, err := w.bw.WriteString(t.String()); err != nil {
-		return err
-	}
-	return w.bw.WriteByte('\n')
+	_, err := w.bw.Write(append(t.AppendNT(w.bw.AvailableBuffer()), '\n'))
+	return err
 }
 
 // Flush flushes buffered output to the underlying writer.

@@ -9,7 +9,9 @@ package rdf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three RDF term kinds.
@@ -83,27 +85,39 @@ func (t Term) IsBlank() bool { return t.Kind == Blank }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
+	var buf [128]byte // most terms render without a heap scratch
+	return string(t.AppendNT(buf[:0]))
+}
+
+// AppendNT appends the term's N-Triples rendering to dst and returns the
+// extended slice. It is the one N-Triples renderer: String, Key, and every
+// result encoder go through it.
+func (t Term) AppendNT(dst []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case Blank:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	case Literal:
-		var b strings.Builder
-		b.WriteByte('"')
-		b.WriteString(escapeLiteral(t.Value))
-		b.WriteByte('"')
+		dst = append(dst, '"')
+		dst = appendEscapedLiteral(dst, t.Value)
+		dst = append(dst, '"')
 		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
+			dst = append(dst, '@')
+			dst = append(dst, t.Lang...)
 		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
 		}
-		return b.String()
+		return dst
 	default:
-		return fmt.Sprintf("<invalid term kind %d>", t.Kind)
+		dst = append(dst, "<invalid term kind "...)
+		dst = strconv.AppendUint(dst, uint64(t.Kind), 10)
+		return append(dst, '>')
 	}
 }
 
@@ -130,31 +144,31 @@ func (t Term) Compare(o Term) int {
 	return strings.Compare(t.Lang, o.Lang)
 }
 
-// escapeLiteral escapes the characters that N-Triples requires escaping
-// inside string literals.
-func escapeLiteral(s string) string {
+// appendEscapedLiteral appends s to dst, escaping the characters N-Triples
+// requires escaped inside string literals. A literal that needs escaping is
+// re-encoded rune by rune, so its invalid UTF-8 bytes become U+FFFD; one
+// that needs none is appended verbatim.
+func appendEscapedLiteral(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+		return append(dst, s...)
 	}
-	var b strings.Builder
-	b.Grow(len(s) + 8)
 	for _, r := range s {
 		switch r {
 		case '"':
-			b.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			b.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			b.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // Triple is one RDF statement.
@@ -164,7 +178,19 @@ type Triple struct {
 
 // String renders the triple as one N-Triples line (without the newline).
 func (t Triple) String() string {
-	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
+	var buf [256]byte
+	return string(t.AppendNT(buf[:0]))
+}
+
+// AppendNT appends the triple's N-Triples line (without the newline) to dst
+// and returns the extended slice.
+func (t Triple) AppendNT(dst []byte) []byte {
+	dst = t.S.AppendNT(dst)
+	dst = append(dst, ' ')
+	dst = t.P.AppendNT(dst)
+	dst = append(dst, ' ')
+	dst = t.O.AppendNT(dst)
+	return append(dst, " ."...)
 }
 
 // Compare orders triples lexicographically by (S, P, O).

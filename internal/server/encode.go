@@ -2,55 +2,77 @@ package server
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"sync"
+	"unicode/utf8"
 
 	"repro/internal/cluster"
 	"repro/internal/dict"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/rdf"
 )
 
-// jsonString encodes s as a JSON string without HTML escaping (every IRI
-// rendering contains '<' and '>'; < soup helps nobody).
-func jsonString(s string) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(s); err != nil {
-		return nil, err
-	}
-	b := buf.Bytes()
-	return b[:len(b)-1], nil // Encode appends a newline; drop it
-}
-
 // Result encoders pull rows from the cursor and stream them straight to the
-// response writer: each id is decoded to its term rendering as it is
-// written, so neither the encoded result rows nor their decoded renderings
-// are ever materialized — per-request memory is O(cursor batch), and the
-// first byte reaches the client while the join is still enumerating.
-// Renderings are memoized per response because RDF results repeat terms
-// heavily (a LUBM result column often has thousands of rows over a few
-// hundred distinct terms).
+// response writer: each row's cells are appended as bytes into the free
+// space of a pooled 32 KB bufio.Writer — the term's N-Triples rendering for
+// TSV, that rendering JSON-escaped (through one per-response scratch slice)
+// for JSON — and handed to Write. Neither the encoded result rows nor their
+// renderings are ever materialized, no per-term string or map entry is
+// built, and the first byte reaches the client while the join is still
+// enumerating. A response allocates a constant amount, whatever its row
+// count.
 
-// termRenderer decodes ids to term strings with per-response memoization.
-type termRenderer struct {
-	d    *dict.Dictionary
-	memo map[uint32]string
+// writerPool recycles the encoders' response buffers across requests.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
+func getWriter(w io.Writer) *bufio.Writer {
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
 }
 
-func newTermRenderer(d *dict.Dictionary) *termRenderer {
-	return &termRenderer{d: d, memo: make(map[uint32]string, 64)}
+// putWriter returns bw to the pool without its response writer, so the pool
+// never keeps a finished response reachable.
+func putWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	writerPool.Put(bw)
 }
 
-func (tr *termRenderer) render(id uint32) string {
-	if s, ok := tr.memo[id]; ok {
-		return s
+// rowSlack is the free space a row starts in: with less left, the buffer is
+// flushed first, so appending a row (up to rowSlack bytes) into
+// AvailableBuffer never outgrows it and never allocates.
+const rowSlack = 4 << 10
+
+// rowBuffer returns bw's free space for appending one row, flushing first
+// when less than rowSlack bytes of it remain.
+func rowBuffer(bw *bufio.Writer) ([]byte, error) {
+	if bw.Available() < rowSlack {
+		if err := bw.Flush(); err != nil {
+			return nil, err
+		}
 	}
-	s := tr.d.Decode(id).String()
-	tr.memo[id] = s
-	return s
+	return bw.AvailableBuffer(), nil
+}
+
+// termView decodes ids through one dict.Terms view per response, taking a
+// fresh view only for an id assigned after the current one was taken (a
+// live update that committed mid-stream).
+type termView struct {
+	d     *dict.Dictionary
+	terms []rdf.Term
+}
+
+func (v *termView) term(id uint32) *rdf.Term {
+	if int(id) >= len(v.terms) {
+		v.terms = v.d.Terms()
+		if int(id) >= len(v.terms) {
+			v.d.Decode(id) // never assigned: panics with Decode's message
+		}
+	}
+	return &v.terms[id]
 }
 
 // queryMeta is the non-row metadata included in JSON responses.
@@ -89,33 +111,15 @@ type encodeResult struct {
 // span tree — the callback runs after the last row, once every stage has
 // finished, and receives the encoded row count.
 func writeJSON(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary, meta queryMeta, tookMs func() float64, partial func() []cluster.PartialShard, trace func(rows int) *obs.TraceSnapshot) encodeResult {
-	bw := bufio.NewWriterSize(w, 32<<10)
-	tr := newTermRenderer(d)
-	// Distinct JSON-escaped term strings are memoized separately from the
-	// raw renderings so escaping is also paid once per distinct term.
-	jsonMemo := make(map[uint32][]byte, 64)
-	renderJSON := func(id uint32) ([]byte, error) {
-		if b, ok := jsonMemo[id]; ok {
-			return b, nil
-		}
-		b, err := jsonString(tr.render(id))
-		if err != nil {
-			return nil, err
-		}
-		jsonMemo[id] = b
-		return b, nil
-	}
+	bw := getWriter(w)
+	defer putWriter(bw)
 
 	bw.WriteString(`{"vars":[`)
 	for i, v := range vars {
 		if i > 0 {
 			bw.WriteByte(',')
 		}
-		vb, err := jsonString(v)
-		if err != nil {
-			return encodeResult{err: err}
-		}
-		bw.Write(vb)
+		bw.Write(appendJSONString(bw.AvailableBuffer(), []byte(v)))
 	}
 	bw.WriteString(`]`)
 	if meta.QueryID != "" {
@@ -124,16 +128,14 @@ func writeJSON(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary
 		bw.WriteString(`"`)
 	}
 	bw.WriteString(`,"engine":`)
-	eb, err := jsonString(meta.Engine)
-	if err != nil {
-		return encodeResult{err: err}
-	}
-	bw.Write(eb)
+	bw.Write(appendJSONString(bw.AvailableBuffer(), []byte(meta.Engine)))
 	bw.WriteString(`,"cache":"`)
 	bw.WriteString(meta.Cache)
 	bw.WriteString(`","rows":[`)
 
 	res := encodeResult{}
+	terms := termView{d: d}
+	nt := make([]byte, 0, 256) // the current cell's N-Triples rendering, reused
 	for {
 		row, err := cur.Next()
 		if err == io.EOF {
@@ -144,22 +146,27 @@ func writeJSON(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary
 			res.err = err
 			break
 		}
-		if res.rows > 0 {
-			bw.WriteByte(',')
+		buf, err := rowBuffer(bw)
+		if err != nil {
+			res.err = err
+			break
 		}
-		bw.WriteByte('[')
+		if res.rows > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '[')
 		for j, id := range row {
 			if j > 0 {
-				bw.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			b, err := renderJSON(id)
-			if err != nil {
-				res.err = err
-				return res
-			}
-			bw.Write(b)
+			nt = terms.term(id).AppendNT(nt[:0])
+			buf = appendJSONString(buf, nt)
 		}
-		bw.WriteByte(']')
+		buf = append(buf, ']')
+		if _, err := bw.Write(buf); err != nil {
+			res.err = err
+			break
+		}
 		res.rows++
 	}
 
@@ -174,11 +181,7 @@ func writeJSON(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary
 	bw.Write(tb)
 	if res.err != nil {
 		bw.WriteString(`,"error":`)
-		if msg, jerr := jsonString(res.err.Error()); jerr == nil {
-			bw.Write(msg)
-		} else {
-			bw.WriteString(`"encoding error"`)
-		}
+		bw.Write(appendJSONString(bw.AvailableBuffer(), []byte(res.err.Error())))
 	}
 	if partial != nil {
 		if miss := partial(); len(miss) > 0 {
@@ -208,8 +211,8 @@ func writeJSON(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary
 // already keeps tabs and newlines out of the raw text). A mid-stream error
 // simply ends the body; the X-Error HTTP trailer carries the cause.
 func writeTSV(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary) encodeResult {
-	bw := bufio.NewWriterSize(w, 32<<10)
-	tr := newTermRenderer(d)
+	bw := getWriter(w)
+	defer putWriter(bw)
 	for i, v := range vars {
 		if i > 0 {
 			bw.WriteByte('\t')
@@ -219,6 +222,7 @@ func writeTSV(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary)
 	}
 	bw.WriteByte('\n')
 	res := encodeResult{}
+	terms := termView{d: d}
 	for {
 		row, err := cur.Next()
 		if err == io.EOF {
@@ -229,17 +233,104 @@ func writeTSV(w io.Writer, vars []string, cur engine.Cursor, d *dict.Dictionary)
 			res.err = err
 			break
 		}
+		buf, err := rowBuffer(bw)
+		if err != nil {
+			res.err = err
+			break
+		}
 		for j, id := range row {
 			if j > 0 {
-				bw.WriteByte('\t')
+				buf = append(buf, '\t')
 			}
-			bw.WriteString(tr.render(id))
+			buf = terms.term(id).AppendNT(buf)
 		}
-		bw.WriteByte('\n')
+		buf = append(buf, '\n')
+		if _, err := bw.Write(buf); err != nil {
+			res.err = err
+			break
+		}
 		res.rows++
 	}
 	if ferr := bw.Flush(); ferr != nil && res.err == nil {
 		res.err = ferr
 	}
 	return res
+}
+
+// appendJSONString appends src as a JSON string literal, byte for byte what
+// encoding/json emits with HTML escaping off (every IRI rendering contains
+// '<' and '>'; \u003c soup helps nobody): '"' and '\\' are backslash-escaped,
+// \b \f \n \r \t take their short forms, other bytes below 0x20 become
+// \u00XX, U+2028 and U+2029 are escaped, and each invalid UTF-8 byte becomes
+// \ufffd. Everything else, 0x7f included, is copied as is.
+func appendJSONString(dst, src []byte) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // src[start:i] is pending verbatim output
+	for i := 0; i < len(src); {
+		for i+8 <= len(src) && plainJSON8(binary.LittleEndian.Uint64(src[i:])) {
+			i += 8
+		}
+		if i == len(src) {
+			break
+		}
+		b := src[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, src[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRune(src[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, src[start:]...)
+	return append(dst, '"')
+}
+
+// plainJSON8 reports whether the 8 bytes packed in x are all ASCII that JSON
+// copies as is: none below 0x20, none '"' or '\\', none 0x80 or above. Each
+// test sets a byte's high bit in its mask only where some byte matches
+// (a borrow can spread a match upward, never invent one), so a zero union
+// means no byte in the word needs attention.
+func plainJSON8(x uint64) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	ctl := (x - 0x20*ones) &^ x
+	q := x ^ '"'*ones
+	q = (q - ones) &^ q
+	bs := x ^ '\\'*ones
+	bs = (bs - ones) &^ bs
+	return (ctl|q|bs|x)&highs == 0
 }
